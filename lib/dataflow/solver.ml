@@ -99,7 +99,6 @@ end
 
 module Backward (A : BACKWARD) = struct
   type t = {
-    func : Func.t;
     inputs : A.fact Label.Tbl.t;  (* fact before the first instruction *)
     outputs : A.fact Label.Tbl.t; (* fact after the terminator *)
     iterations : int;
@@ -117,6 +116,10 @@ module Backward (A : BACKWARD) = struct
     let inputs = Label.Tbl.create 16 in
     let outputs = Label.Tbl.create 16 in
     let order = Func.postorder func in
+    let blocks = Label.Tbl.create 16 in
+    List.iter
+      (fun (b : Block.t) -> Label.Tbl.replace blocks b.Block.label b)
+      func.Func.blocks;
     List.iter
       (fun l ->
         Label.Tbl.replace inputs l A.bottom;
@@ -129,7 +132,7 @@ module Backward (A : BACKWARD) = struct
       incr iterations;
       List.iter
         (fun l ->
-          let block = Func.find_block func l in
+          let block = Label.Tbl.find blocks l in
           let succs = Block.successors block.Block.term in
           let output =
             if succs = [] then A.exit func
@@ -150,25 +153,13 @@ module Backward (A : BACKWARD) = struct
           end)
         order
     done;
-    { func; inputs; outputs; iterations = !iterations }
+    { inputs; outputs; iterations = !iterations }
 
   let input t l =
     match Label.Tbl.find_opt t.inputs l with Some f -> f | None -> A.bottom
 
   let output t l =
     match Label.Tbl.find_opt t.outputs l with Some f -> f | None -> A.bottom
-
-  let after_instr t l i =
-    let b = Func.find_block t.func l in
-    let fact = ref (A.terminator b.Block.term (output t l)) in
-    for j = Array.length b.Block.body - 1 downto i + 1 do
-      fact := A.instr b.Block.body.(j) !fact
-    done;
-    !fact
-
-  let before_instr t l i =
-    let b = Func.find_block t.func l in
-    A.instr b.Block.body.(i) (after_instr t l i)
 
   let iterations t = t.iterations
 end

@@ -3,7 +3,8 @@
 
     Clients provide a join-semilattice of facts and per-instruction
     transfer functions; the solver returns the fixpoint as per-block
-    input/output facts plus replay helpers for per-instruction facts. *)
+    input/output facts; the forward solver also offers replay helpers
+    for per-instruction facts. *)
 
 open Tdfa_ir
 
@@ -60,9 +61,9 @@ module Backward (A : BACKWARD) : sig
   (** Fact before the first instruction (the block's live-in style fact). *)
 
   val output : t -> Label.t -> A.fact
-  (** Fact after the terminator (joined from successors). *)
+  (** Fact after the terminator (joined from successors). Per-instruction
+      facts are the client's to derive; {!Liveness} computes them once
+      per block. *)
 
-  val before_instr : t -> Label.t -> int -> A.fact
-  val after_instr : t -> Label.t -> int -> A.fact
   val iterations : t -> int
 end

@@ -18,7 +18,14 @@ val labels : t -> Label.t list
 
 val successors : t -> Label.t -> Label.t list
 val predecessors : t -> Label.t -> Label.t list
-(** Computed from a cached predecessor map; order follows block order. *)
+(** One scan of the block list; order follows block order, a block
+    appearing once per edge into the label. *)
+
+val predecessor_index : t -> Label.t -> Label.t list
+(** [predecessor_index f] builds every block's predecessor list in one
+    pass over the CFG; the returned lookup answers exactly like
+    [predecessors f], in constant time. For passes that ask about every
+    block. *)
 
 val postorder : t -> Label.t list
 (** Depth-first postorder over blocks reachable from the entry. *)

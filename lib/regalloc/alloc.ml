@@ -15,17 +15,18 @@ let default_weights func =
   let loops = Loops.analyze func in
   fun v -> Use_def.weighted_access_count ud loops v
 
-let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
-    =
+(* Cap on colour/spill rounds; only a degenerately small register file
+   reaches it. *)
+let max_rounds = 16
+
+let allocate ?(obs = Obs.null) func layout ~policy =
   let round_args round = [ ("round", Obs.Int round) ] in
   let rec attempt func all_spilled round =
     if round > max_rounds then
       failwith
         (Printf.sprintf "Alloc.allocate: no colouring after %d spill rounds"
            max_rounds);
-    let weights =
-      match weights with Some w -> w | None -> default_weights func
-    in
+    let weights = default_weights func in
     let liveness =
       Obs.span obs "regalloc.liveness" ~args:(round_args round) (fun () ->
           Liveness.analyze func)
@@ -34,10 +35,22 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
       Obs.span obs "regalloc.interference" ~args:(round_args round)
         (fun () -> Interference.build func liveness)
     in
+    let coloring_args =
+      if Obs.tracing obs then
+        round_args round
+        @ [
+            ("vars", Obs.Int (List.length (Interference.vars graph)));
+            ("edges", Obs.Int (Interference.num_edges graph));
+          ]
+      else []
+    in
     let outcome =
-      Obs.span obs "regalloc.coloring" ~args:(round_args round) (fun () ->
+      Obs.span obs "regalloc.coloring" ~args:coloring_args (fun () ->
           Coloring.run graph layout ~policy ~weights)
     in
+    if outcome.Coloring.optimistic_picks > 0 then
+      Obs.incr obs ~by:outcome.Coloring.optimistic_picks
+        "regalloc.optimistic_picks";
     if Var.Set.is_empty outcome.Coloring.spilled then begin
       Obs.observe obs "regalloc.rounds" (float_of_int round);
       {

@@ -15,12 +15,11 @@ type result = {
 
 val default_weights : Func.t -> Var.t -> float
 (** Loop-frequency-weighted access count (see
-    {!Use_def.weighted_access_count}). *)
+    {!Use_def.weighted_access_count}): a sum of products of integer trip
+    counts, hence integer-valued. *)
 
 val allocate :
   ?obs:Obs.sink ->
-  ?max_rounds:int ->
-  ?weights:(Var.t -> float) ->
   Func.t ->
   Layout.t ->
   policy:Policy.t ->
@@ -28,11 +27,16 @@ val allocate :
 (** [obs] (default [Obs.null]) receives one span per allocation phase
     and round — [regalloc.liveness], [regalloc.interference],
     [regalloc.coloring], [regalloc.spill] — plus the
-    [regalloc.spilled_vars] counter and the [regalloc.rounds]
-    histogram.
-    @raise Failure when spilling does not reach a colouring within
-    [max_rounds] (default 16) — in practice only possible if the register
-    file is degenerately small. *)
+    [regalloc.spilled_vars] and [regalloc.optimistic_picks] counters
+    and the [regalloc.rounds] histogram. The [regalloc.coloring] span
+    carries the graph's [vars] and [edges].
+
+    Every round colours with {!default_weights} of that round's
+    function, so spill temporaries are weighted like every other
+    variable.
+    @raise Failure when spilling does not reach a colouring within 16
+    rounds — in practice only possible if the register file is
+    degenerately small. *)
 
 val cell_of_var : result -> Var.t -> int option
 (** Lookup into the final assignment (spill temporaries included). *)

@@ -9,6 +9,9 @@ open Tdfa_floorplan
 type outcome = {
   assignment : Assignment.t;  (** colours for the non-spilled variables *)
   spilled : Var.Set.t;  (** variables that could not be coloured *)
+  optimistic_picks : int;
+      (** simplify steps that found no low-degree node and removed a
+          spill candidate optimistically *)
 }
 
 val run :
@@ -19,4 +22,12 @@ val run :
   outcome
 (** Hot variables (by weight) are selected first so they receive the
     policy's preferred cells; spill candidates are picked by lowest
-    weight/degree ratio. *)
+    weight/degree ratio, ties going to the smaller [Var.compare]
+    variable.
+
+    [weights] is called once per node. Simplify is a worklist over
+    mutable degree counters: O((V + E) log V), plus O(V) for each
+    optimistic pick. The low-degree order is exact on (weight,
+    variable), which matches a 1e-12-tolerant weight comparison because
+    the allocator's weights are integer-valued
+    ({!Alloc.default_weights}). *)

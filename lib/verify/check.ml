@@ -75,6 +75,7 @@ let defs_dominate_uses (f : Func.t) =
   (* Forward all-paths fixpoint: a variable is definitely assigned at a
      block entry iff it is assigned along every path from the function
      entry. Intersection join, initialised to top. *)
+  let predecessors = Func.predecessor_index f in
   let in_sets = Label.Tbl.create 16 in
   let out_sets = Label.Tbl.create 16 in
   List.iter (fun l -> Label.Tbl.replace out_sets l top) order;
@@ -87,8 +88,7 @@ let defs_dominate_uses (f : Func.t) =
           if Label.equal l entry then params
           else
             let preds =
-              List.filter (fun p -> Label.Set.mem p reach)
-                (Func.predecessors f l)
+              List.filter (fun p -> Label.Set.mem p reach) (predecessors l)
             in
             match preds with
             | [] -> params

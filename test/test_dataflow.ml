@@ -538,6 +538,63 @@ let test_solver_iterations_bounded () =
         Alcotest.failf "%s took %d iterations" name (Liveness.iterations live))
     Tdfa_workload.Kernels.all
 
+(* Reference per-instruction liveness: replay the block backwards from its
+   terminator on every query, as the solver once did. *)
+let replay_after live (b : Block.t) i =
+  let add_all vs s = List.fold_left (fun acc v -> Var.Set.add v acc) s vs in
+  let fact =
+    ref (add_all (Block.term_uses b.Block.term) (Liveness.live_out live b.Block.label))
+  in
+  for j = Array.length b.Block.body - 1 downto i + 1 do
+    let instr = b.Block.body.(j) in
+    let killed =
+      match Instr.def instr with Some d -> Var.Set.remove d !fact | None -> !fact
+    in
+    fact := add_all (Instr.uses instr) killed
+  done;
+  !fact
+
+let replay_before live (b : Block.t) i =
+  let instr = b.Block.body.(i) in
+  let after = replay_after live b i in
+  List.fold_left
+    (fun acc v -> Var.Set.add v acc)
+    (match Instr.def instr with Some d -> Var.Set.remove d after | None -> after)
+    (Instr.uses instr)
+
+let prop_liveness_vectors_match_replay =
+  QCheck2.Test.make ~name:"per-instruction live sets == replay from terminator"
+    ~count:100 (Tdfa_workload.Generator.gen_func ())
+    (fun f ->
+      let live = Liveness.analyze f in
+      let pressure = ref 0 in
+      let consider s = pressure := max !pressure (Var.Set.cardinal s) in
+      List.for_all
+        (fun (b : Block.t) ->
+          let l = b.Block.label in
+          consider (Liveness.live_in live l);
+          consider (Liveness.live_out live l);
+          List.for_all
+            (fun i ->
+              let after = replay_after live b i in
+              consider after;
+              Var.Set.equal (Liveness.live_after_instr live l i) after
+              && Var.Set.equal (Liveness.live_before_instr live l i)
+                   (replay_before live b i))
+            (List.init (Array.length b.Block.body) Fun.id))
+        f.Func.blocks
+      && Liveness.max_pressure live = !pressure)
+
+let test_liveness_index_out_of_range () =
+  let f = loop_func () in
+  let live = Liveness.analyze f in
+  let n = Array.length (Func.find_block f (lbl "header")).Block.body in
+  let out_of_range = Invalid_argument "Liveness: instruction index out of range" in
+  Alcotest.check_raises "past the body" out_of_range (fun () ->
+      ignore (Liveness.live_after_instr live (lbl "header") n));
+  Alcotest.check_raises "negative" out_of_range (fun () ->
+      ignore (Liveness.live_before_instr live (lbl "header") (-1)))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -550,6 +607,8 @@ let suite =
         tc "uses live before (all kernels)" `Quick test_liveness_uses_live_before;
         tc "multiproc functions" `Quick test_liveness_on_multiproc_functions;
         tc "fixpoint terminates fast" `Quick test_solver_iterations_bounded;
+        tc "index out of range" `Quick test_liveness_index_out_of_range;
+        QCheck_alcotest.to_alcotest prop_liveness_vectors_match_replay;
       ] );
     ( "dataflow.reaching-defs",
       [

@@ -378,6 +378,94 @@ let test_allocation_deterministic () =
   Alcotest.(check bool) "same assignment" true
     (Assignment.bindings a1.Alloc.assignment = Assignment.bindings a2.Alloc.assignment)
 
+(* --- Differential battery against the textbook colourer ----------------- *)
+
+(* A register file of four cells: generated functions keep up to 8
+   pool variables live, so colouring gets stuck (optimistic spill picks)
+   and allocation takes several spill rounds. *)
+let tiny_layout = Layout.make ~rows:1 ~cols:4 ()
+
+(* Rounds of the colour/spill loop compared per allocation. On four
+   cells the loop goes on to re-spill spill temporaries, growing the
+   function every round, and the quadratic oracle slows down with it;
+   three rounds already colour spill-rewritten code. *)
+let oracle_rounds = 3
+
+(* [Alloc.allocate]'s colour/spill loop with both colourers on every
+   round's graph: [Some] final state when they agree and the loop ends
+   within [oracle_rounds], [None] when it runs past them, and a failure
+   when they disagree. *)
+let allocate_against_oracle func layout ~policy =
+  let rec round func all_spilled n =
+    let graph = Interference.build func (Liveness.analyze func) in
+    let weights = Alloc.default_weights func in
+    let got = Coloring.run graph layout ~policy ~weights in
+    let want = Coloring_oracle.run graph layout ~policy ~weights in
+    if
+      Assignment.bindings got.Coloring.assignment
+      <> Assignment.bindings want.Coloring_oracle.assignment
+      || not (Var.Set.equal got.Coloring.spilled want.Coloring_oracle.spilled)
+    then
+      QCheck2.Test.fail_reportf "%s on %d cells, round %d: colourings differ"
+        (Policy.name policy) (Layout.num_cells layout) n
+    else if Var.Set.is_empty got.Coloring.spilled then
+      Some (func, got.Coloring.assignment, all_spilled, n)
+    else if n = oracle_rounds then None
+    else
+      round
+        (Spill.rewrite ~slot_base:(Var.Set.cardinal all_spilled) func
+           got.Coloring.spilled)
+        (Var.Set.union all_spilled got.Coloring.spilled)
+        (n + 1)
+  in
+  round func Var.Set.empty 1
+
+let prop_coloring_matches_oracle =
+  QCheck2.Test.make ~name:"worklist colouring == oracle (policies x layouts)"
+    ~count:160
+    (Tdfa_workload.Generator.gen_func ~max_pool:8 ~max_length:4 ())
+    (fun f ->
+      List.for_all
+        (fun (layout, policy) ->
+          match allocate_against_oracle f layout ~policy with
+          | None -> true
+          | Some (func, assignment, spilled, rounds) ->
+            let r = Alloc.allocate f layout ~policy in
+            Printer.func_to_string r.Alloc.func = Printer.func_to_string func
+            && Assignment.bindings r.Alloc.assignment
+               = Assignment.bindings assignment
+            && Var.Set.equal r.Alloc.spilled spilled
+            && r.Alloc.rounds = rounds)
+        (List.concat_map
+           (fun layout -> List.map (fun p -> (layout, p)) Policy.all)
+           [ layout; tiny_layout ]))
+
+let test_optimistic_picks_counted () =
+  let f = Tdfa_workload.Kernels.high_pressure ~live:8 ~iters:8 () in
+  let graph = Interference.build f (Liveness.analyze f) in
+  let weights = Alloc.default_weights f in
+  let wide = Coloring.run graph layout ~policy:Policy.First_fit ~weights in
+  let narrow = Coloring.run graph tiny_layout ~policy:Policy.First_fit ~weights in
+  Alcotest.(check int) "none on 64 cells" 0 wide.Coloring.optimistic_picks;
+  Alcotest.(check bool) "some on 4 cells" true (narrow.Coloring.optimistic_picks > 0);
+  (* The allocator reports them, and sizes each coloring span. *)
+  let obs = Tdfa_obs.Obs.memory () in
+  let (_ : Alloc.result) = Alloc.allocate ~obs f tiny_layout ~policy:Policy.First_fit in
+  let first_coloring =
+    List.find
+      (fun (e : Tdfa_obs.Obs.event) ->
+        e.Tdfa_obs.Obs.name = "regalloc.coloring"
+        && e.Tdfa_obs.Obs.phase = Tdfa_obs.Obs.Begin)
+      (Tdfa_obs.Obs.events obs)
+  in
+  let arg k = List.assoc_opt k first_coloring.Tdfa_obs.Obs.args in
+  Alcotest.(check bool) "vars arg" true
+    (arg "vars" = Some (Tdfa_obs.Obs.Int (List.length (Interference.vars graph))));
+  Alcotest.(check bool) "edges arg" true
+    (arg "edges" = Some (Tdfa_obs.Obs.Int (Interference.num_edges graph)));
+  Alcotest.(check bool) "counter reported" true
+    (List.mem_assoc "regalloc.optimistic_picks" (Tdfa_obs.Obs.metrics_rows obs))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -424,5 +512,10 @@ let suite =
         tc "loop-carried spill" `Quick test_spill_removes_long_range;
         tc "spilled parameter" `Quick test_spill_param;
         tc "forced spilling on tiny RF" `Quick test_forced_spilling_small_rf;
+      ] );
+    ( "regalloc.oracle",
+      [
+        QCheck_alcotest.to_alcotest prop_coloring_matches_oracle;
+        tc "optimistic picks counted and traced" `Quick test_optimistic_picks_counted;
       ] );
   ]
