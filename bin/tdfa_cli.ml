@@ -198,7 +198,7 @@ let lint files kernel kernels rules severities lint_config format max_severity
                       Cli_args.allocate_for ~obs ~post_ra ~policy f
                     in
                     let ctx =
-                      Tdfa_lint.Lint.make_ctx ?assignment
+                      Tdfa_lint.Lint.make_ctx ~obs ?assignment
                         ~layout:Common.standard_layout func
                     in
                     (uri, func, Tdfa_lint.Lint.run ~obs ~config known ctx))

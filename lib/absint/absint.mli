@@ -75,6 +75,7 @@ type t = {
 }
 
 val predict :
+  ?obs:Tdfa_obs.Obs.sink ->
   ?delta_k:float ->
   ?max_iterations:int ->
   Tdfa_core.Transfer.config ->
@@ -84,7 +85,10 @@ val predict :
     O(instructions + points) — no fixpoint, no per-iteration state.
     [delta_k] and [max_iterations] describe the concrete analysis the
     bounds must be sound against (defaults:
-    {!Tdfa_core.Analysis.default_settings}). *)
+    {!Tdfa_core.Analysis.default_settings}). [obs] (default
+    {!Tdfa_obs.Obs.null}) receives an [absint.envelope] span with the
+    [gs_sweeps] arg and an [absint.orbit] span with the [loops] and
+    [orbit_steps] args. *)
 
 type verdict = Certified_hot | Straddles | Certified_cool
 

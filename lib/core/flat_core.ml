@@ -13,7 +13,7 @@ open Tdfa_ir
    a float array — and then sweeps entirely in place over four buffers:
 
      cur      the state being advanced through the current block
-     scratch  the diffusion read copy (one blit per instruction)
+     scratch  the diffusion read copy (leakage writes it directly)
      states   n_slots x n_points: last sweep's state after each instr
      exits    n_labels x n_points: state after each terminator
 
@@ -60,10 +60,11 @@ type t = {
   states : float array;
   seen : bool array;
   exits : float array;
-  (* Unboxed scratch cells for float accumulation: element 0 carries the
-     running maximum of the loop at hand, element 1 a NaN flag (0/1).
-     Keeping them in a float array rather than refs keeps the sweeps
-     allocation-free under the non-flambda compiler. *)
+  (* Unboxed result cells of [max_delta_store]: element 0 carries the
+     running maximum, element 1 a NaN flag (0/1). A float returned from
+     a call is boxed under the non-flambda compiler; one kept in a float
+     array is not. (A loop-local float ref never escapes, so the
+     compiler keeps it unboxed.) *)
   fbuf : float array;
 }
 
@@ -194,8 +195,9 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
 let[@inline] fmax_bits x y = if y > x || (y <> y && x = x) then y else x
 
 (* One transfer-function application, in place on [t.cur]. The four
-   phases run in the boxed order: heating, leakage, diffusion (read from
-   the scratch copy), cooling. *)
+   phases run in the boxed order: heating, leakage (written straight
+   into the scratch copy that diffusion reads), then diffusion and
+   cooling fused into one pass back into [t.cur]. *)
 let apply t (slot : slot) =
   let n = t.n_points in
   let cur = t.cur and scratch = t.scratch in
@@ -218,43 +220,40 @@ let apply t (slot : slot) =
     let d = temp -. amb in
     let excess = if d > 0.0 || d <> d then d else 0.0 in
     let leak = lw *. (1.0 +. (lc *. excess)) *. cells.(p) in
-    cur.(p) <- temp +. (leak *. dt /. cp)
+    scratch.(p) <- temp +. (leak *. dt /. cp)
   done;
   (* Diffusion: every point reads its neighbours from the pre-step copy,
-     folding exchanges in CSR (= boxed list) order. *)
-  Array.blit cur 0 scratch 0 n;
+     folding exchanges in CSR (= boxed list) order; then cooling. *)
   let off = t.grid.Flat_grid.neigh_off
   and nb = t.grid.Flat_grid.neigh
-  and lambda = t.c_lambda in
-  let acc = t.fbuf in
+  and lambda = t.c_lambda
+  and kappa = t.c_kappa in
   for p = 0 to n - 1 do
     let temp = scratch.(p) in
-    acc.(0) <- 0.0;
+    let exchange = ref 0.0 in
     for k = off.(p) to off.(p + 1) - 1 do
-      acc.(0) <- acc.(0) +. (scratch.(nb.(k)) -. temp)
+      exchange := !exchange +. (scratch.(nb.(k)) -. temp)
     done;
-    cur.(p) <- temp +. (lambda *. acc.(0))
-  done;
-  (* Cooling. *)
-  let kappa = t.c_kappa in
-  for p = 0 to n - 1 do
-    let temp = cur.(p) in
+    let temp = temp +. (lambda *. !exchange) in
     cur.(p) <- temp -. (kappa *. (temp -. amb))
   done
 
 (* Largest pointwise |cur - states[slot]|, with Thermal_state.max_delta's
-   NaN stickiness (any NaN difference poisons the maximum): the result
-   lands in fbuf.(0), the NaN flag in fbuf.(1). *)
-let max_delta_slot t base =
+   NaN stickiness (any NaN difference poisons the maximum), while storing
+   [cur] as the slot's new state: the result lands in fbuf.(0), the NaN
+   flag in fbuf.(1). *)
+let max_delta_store t base =
   let n = t.n_points in
   let cur = t.cur and states = t.states and acc = t.fbuf in
   acc.(0) <- 0.0;
   acc.(1) <- 0.0;
   for p = 0 to n - 1 do
-    let d = cur.(p) -. states.(base + p) in
+    let c = cur.(p) in
+    let d = c -. states.(base + p) in
     let d = if d >= 0.0 then d else -.d in
     if d > acc.(0) then acc.(0) <- d;
-    if d <> d then acc.(1) <- 1.0
+    if d <> d then acc.(1) <- 1.0;
+    states.(base + p) <- c
   done
 
 (* Joined incoming state of a block, into [t.cur]. *)
@@ -306,10 +305,14 @@ let pass t ?on_block ~iteration () =
         apply t b.b_slots.(index);
         let change =
           if t.seen.(s) then begin
-            max_delta_slot t (s * n);
+            max_delta_store t (s * n);
             if t.fbuf.(1) <> 0.0 then infinity else t.fbuf.(0)
           end
-          else infinity
+          else begin
+            Array.blit t.cur 0 t.states (s * n) n;
+            t.seen.(s) <- true;
+            infinity
+          end
         in
         if change > t.delta_k then begin
           unstable := (b.b_label, index) :: !unstable;
@@ -319,9 +322,7 @@ let pass t ?on_block ~iteration () =
           if change < infinity then change else t.delta_k +. 1.0
         in
         if contribution > !block_worst then block_worst := contribution;
-        if contribution > !worst then worst := contribution;
-        Array.blit t.cur 0 t.states (s * n) n;
-        t.seen.(s) <- true
+        if contribution > !worst then worst := contribution
       done;
       apply t b.b_term;
       Array.blit t.cur 0 t.exits (b.b_id * n) n;

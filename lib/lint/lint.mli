@@ -77,9 +77,16 @@ type ctx = {
           predictive placement of {!Tdfa_core.Placement} (§4's pre-RA
           mode) *)
   predicted : bool;  (** [true] iff [assignment] is predictive *)
+  bounds : Tdfa_absint.Absint.t Lazy.t;
+      (** certified [\[lo, hi\]] bounds under [assignment]
+          ({!Tdfa_absint.Absint.predict}), computed on first use and
+          shared by the rules that read them *)
 }
 
-val make_ctx : ?assignment:Assignment.t -> layout:Layout.t -> Func.t -> ctx
+val make_ctx :
+  ?obs:Obs.sink -> ?assignment:Assignment.t -> layout:Layout.t -> Func.t -> ctx
+(** [obs] (default {!Obs.null}) receives the [absint.*] spans of the
+    bounds computation, under whichever rule first forces [bounds]. *)
 
 (** {1 Rules} *)
 

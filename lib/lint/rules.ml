@@ -543,19 +543,13 @@ let unreachable_rule =
    which E19's ground-truth corpus labels a function hot. *)
 let hot_threshold = 336.0
 
-(* Unlike the heuristic thermal rules above, these two query the abstract
-   interpreter for certified [lo, hi] bounds on the fixpoint peak, so
+(* Unlike the heuristic thermal rules above, these two read the abstract
+   interpreter's certified [lo, hi] bounds on the fixpoint peak, so
    their verdicts are one-sided guarantees: [certified-hot] can never be
    a false positive, [possibly-hot] can never miss a hot function. The
    bounds are with respect to the assignment in the lint context (the
-   real one when provided, the placement prediction otherwise). *)
-let predict_bounds ctx =
-  let cfg =
-    Tdfa_core.Setup.config_of_assignment ~layout:ctx.layout ctx.func
-      ctx.assignment
-  in
-  Tdfa_absint.Absint.predict cfg ctx.func
-
+   real one when provided, the placement prediction otherwise), computed
+   once per context and shared by both rules. *)
 let certified_hot_rule =
   let id = "certified-hot" in
   {
@@ -565,7 +559,7 @@ let certified_hot_rule =
     default_severity = Warn;
     check =
       (fun ctx ->
-        let b = predict_bounds ctx in
+        let b = Lazy.force ctx.bounds in
         if b.Tdfa_absint.Absint.peak_lo_k >= hot_threshold then
           let cells =
             Tdfa_absint.Absint.certified_hot_cells ~hot_k:hot_threshold b
@@ -593,7 +587,7 @@ let possibly_hot_rule =
     default_severity = Info;
     check =
       (fun ctx ->
-        let b = predict_bounds ctx in
+        let b = Lazy.force ctx.bounds in
         if
           b.Tdfa_absint.Absint.peak_lo_k < hot_threshold
           && b.Tdfa_absint.Absint.peak_hi_k >= hot_threshold

@@ -300,7 +300,8 @@ let lint ?(obs = Tdfa_obs.Obs.null)
     else (f, None)
   in
   let ctx =
-    Tdfa_lint.Lint.make_ctx ?assignment ~layout:Common.standard_layout func
+    Tdfa_lint.Lint.make_ctx ~obs ?assignment ~layout:Common.standard_layout
+      func
   in
   let findings = Tdfa_lint.Lint.run ~obs ~config known ctx in
   (lint_report ~display:func.Func.name findings, findings)

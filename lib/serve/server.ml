@@ -506,7 +506,8 @@ let handle_line t session line =
 type client = {
   fd : Unix.file_descr;
   session : Session.t;
-  mutable pending : string;
+  mutable pending : string list;
+      (* bytes received after the last newline, newest read first *)
 }
 
 let write_all fd s =
@@ -542,7 +543,7 @@ let run ?(ready = fun () -> ()) t ~socket_path =
       let session = Session.create ~max_log:t.cfg.max_log
           (Printf.sprintf "client-%d" !counter)
       in
-      clients := { fd; session; pending = "" } :: !clients;
+      clients := { fd; session; pending = [] } :: !clients;
       t.sessions <- List.length !clients;
       Obs.incr obs "serve.accepts"
   in
@@ -551,25 +552,36 @@ let run ?(ready = fun () -> ()) t ~socket_path =
     | () -> ()
     | exception Unix.Unix_error _ -> drop c
   in
+  (* Only the new bytes are scanned for newlines. The reads of an
+     unfinished line are kept as they came and joined once, at its
+     newline, into a string of exactly the line's length. *)
   let feed c data =
-    c.pending <- c.pending ^ data;
-    let rec drain () =
-      if not t.shutting_down then
-        match String.index_opt c.pending '\n' with
-        | None -> ()
+    let len = String.length data in
+    let keep start =
+      if start < len then
+        c.pending <-
+          (if start = 0 then data else String.sub data start (len - start))
+          :: c.pending
+    in
+    let rec drain start =
+      if t.shutting_down then keep start
+      else
+        match String.index_from_opt data start '\n' with
+        | None -> keep start
         | Some i ->
-          let line = String.sub c.pending 0 i in
-          c.pending <-
-            String.sub c.pending (i + 1)
-              (String.length c.pending - i - 1);
+          let line =
+            String.concat ""
+              (List.rev (String.sub data start (i - start) :: c.pending))
+          in
+          c.pending <- [];
           (if String.trim line <> "" then
              match handle_line t c.session line with
              | Reply j -> respond c j
              | Dropped -> drop c
              | Shutdown_now j -> respond c j);
-          drain ()
+          drain (i + 1)
     in
-    drain ()
+    drain 0
   in
   let read c =
     let bytes = Bytes.create 65536 in

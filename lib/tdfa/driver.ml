@@ -82,7 +82,7 @@ let predict (cfg : config) input =
     (fun () ->
       Tdfa_obs.Obs.incr obs "driver.predicts";
       let bounds_of tc func =
-        Tdfa_absint.Absint.predict ~delta_k:cfg.settings.Analysis.delta_k
+        Tdfa_absint.Absint.predict ~obs ~delta_k:cfg.settings.Analysis.delta_k
           ~max_iterations:cfg.settings.Analysis.max_iterations tc func
       in
       match input with

@@ -217,6 +217,118 @@ let prop_iterate_exits_contain_concrete =
               !ok)
         it.Absint.exits)
 
+(* --- The flat step kernel against the list-based oracle ------------------ *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let same_bounds (got : Absint.t) (want : Absint_oracle.t) =
+  let gs = got.Absint.stats and ws = want.Absint_oracle.stats in
+  same_float got.Absint.ambient_k want.Absint_oracle.ambient_k
+  && same_float got.Absint.margin_k want.Absint_oracle.margin_k
+  && same_floats got.Absint.lo_cells want.Absint_oracle.lo_cells
+  && same_floats got.Absint.hi_cells want.Absint_oracle.hi_cells
+  && same_float got.Absint.peak_lo_k want.Absint_oracle.peak_lo_k
+  && same_float got.Absint.peak_hi_k want.Absint_oracle.peak_hi_k
+  && gs.Absint.points = ws.Absint_oracle.points
+  && gs.Absint.blocks = ws.Absint_oracle.blocks
+  && gs.Absint.loops = ws.Absint_oracle.loops
+  && gs.Absint.gs_sweeps = ws.Absint_oracle.gs_sweeps
+  && gs.Absint.orbit_steps = ws.Absint_oracle.orbit_steps
+
+let same_iteration (got : Absint.iteration) (want : Absint_oracle.iteration) =
+  let gs = got.Absint.istats and ws = want.Absint_oracle.istats in
+  List.equal
+    (fun (l, ivs) (l', ivs') ->
+      Label.equal l l'
+      && Array.length ivs = Array.length ivs'
+      && Array.for_all2
+           (fun (a : Interval.t) (b : Interval.t) ->
+             same_float a.Interval.lo b.Interval.lo
+             && same_float a.Interval.hi b.Interval.hi)
+           ivs ivs')
+    got.Absint.exits want.Absint_oracle.exits
+  && gs.Absint.iter_blocks = ws.Absint_oracle.iter_blocks
+  && gs.Absint.transfers = ws.Absint_oracle.transfers
+  && gs.Absint.sweeps = ws.Absint_oracle.sweeps
+  && gs.Absint.widenings = ws.Absint_oracle.widenings
+  && gs.Absint.stable = ws.Absint_oracle.stable
+
+(* Each policy places the function differently, so each one gives the
+   kernel a different heat map; a short iteration cap also exercises the
+   orbit's application bound. *)
+let prop_flat_kernel_matches_oracle =
+  QCheck2.Test.make ~name:"flat absint kernel == list oracle (policies)"
+    ~count:160
+    ~print:(fun (f, p) -> Policy.name p ^ "\n" ^ Printer.func_to_string f)
+    QCheck2.Gen.(pair gen_corpus_func (oneofl Policy.all))
+    (fun (func, policy) ->
+      let alloc = Alloc.allocate func layout ~policy in
+      let f = alloc.Alloc.func in
+      let tc = Setup.config_of_assignment ~layout f alloc.Alloc.assignment in
+      if not (same_bounds (Absint.predict tc f) (Absint_oracle.predict tc f))
+      then QCheck2.Test.fail_report "predict differs"
+      else if
+        not
+          (same_bounds
+             (Absint.predict ~max_iterations:3 tc f)
+             (Absint_oracle.predict ~max_iterations:3 tc f))
+      then QCheck2.Test.fail_report "capped predict differs"
+      else if
+        not (same_iteration (Absint.iterate tc f) (Absint_oracle.iterate tc f))
+      then QCheck2.Test.fail_report "iterate exits differ"
+      else true)
+
+let kernels_match_oracle () =
+  List.iter
+    (fun (name, func) ->
+      let tc, f = config_of func in
+      Alcotest.(check bool)
+        (name ^ ": predict bit-identical") true
+        (same_bounds (Absint.predict tc f) (Absint_oracle.predict tc f));
+      Alcotest.(check bool)
+        (name ^ ": iterate bit-identical") true
+        (same_iteration (Absint.iterate tc f) (Absint_oracle.iterate tc f)))
+    Kernels.all
+
+(* The orbit steps dominate [predict] on loop-heavy code; on the flat
+   kernel they allocate nothing, so the whole call stays far below the
+   oracle's ~1,400 minor words per step. *)
+let predict_allocation_per_step () =
+  let tc, f = config_of (Kernels.matmul ()) in
+  let (_ : Absint.t) = Absint.predict tc f in
+  let before = Gc.minor_words () in
+  let b = Absint.predict tc f in
+  let words = Gc.minor_words () -. before in
+  let steps = b.Absint.stats.Absint.orbit_steps in
+  Alcotest.(check bool) "matmul has orbit steps" true (steps > 1000);
+  let per_step = words /. float_of_int steps in
+  if per_step >= 100.0 then
+    Alcotest.failf "predict allocated %.1f minor words per orbit step" per_step
+
+(* The phases of [predict] reach the sink as nested spans with their
+   counts. *)
+let predict_spans () =
+  let tc, f = config_of (Kernels.fir ()) in
+  let obs = Tdfa_obs.Obs.memory () in
+  let b = Absint.predict ~obs tc f in
+  let arg span name =
+    match
+      List.find_opt
+        (fun (e : Tdfa_obs.Obs.event) -> e.Tdfa_obs.Obs.name = span)
+        (Tdfa_obs.Obs.events obs)
+    with
+    | None -> Alcotest.failf "no %s span" span
+    | Some e -> List.assoc_opt name e.Tdfa_obs.Obs.args
+  in
+  let st = b.Absint.stats in
+  let int n = Some (Tdfa_obs.Obs.Int n) in
+  Alcotest.(check bool) "gs_sweeps" true
+    (arg "absint.envelope" "gs_sweeps" = int st.Absint.gs_sweeps);
+  Alcotest.(check bool) "loops" true (arg "absint.orbit" "loops" = int st.Absint.loops);
+  Alcotest.(check bool) "orbit_steps" true
+    (arg "absint.orbit" "orbit_steps" = int st.Absint.orbit_steps)
+
 let suite =
   [
     ( "absint",
@@ -224,6 +336,11 @@ let suite =
         Alcotest.test_case "interval unit algebra" `Quick interval_units;
         Alcotest.test_case "all kernels within bounds" `Quick
           kernels_within_bounds;
+        Alcotest.test_case "kernels match the list oracle" `Quick
+          kernels_match_oracle;
+        Alcotest.test_case "predict allocation per orbit step" `Quick
+          predict_allocation_per_step;
+        Alcotest.test_case "predict phase spans" `Quick predict_spans;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [
@@ -234,5 +351,6 @@ let suite =
             prop_bounds_contain_fixpoint;
             prop_iterate_terminates_in_budget;
             prop_iterate_exits_contain_concrete;
+            prop_flat_kernel_matches_oracle;
           ] );
   ]

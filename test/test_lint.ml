@@ -375,6 +375,70 @@ let prop_loops_dominators_agree =
       headers_dominate && latches_in_body && depth_consistent
       && List.length ls <= back_edge_count)
 
+(* --- Shared certified bounds ------------------------------------------------ *)
+
+(* The two bound rules read one [Absint.predict] per context: a full run
+   computes the bounds exactly once, and each rule reports what it
+   reports alone on a fresh context, quoting the list-based oracle's
+   peak bounds. *)
+let test_bounds_shared () =
+  let bound_ids = [ "certified-hot"; "possibly-hot" ] in
+  let fired = ref 0 in
+  List.iter
+    (fun (name, func) ->
+      let obs = Tdfa_obs.Obs.memory () in
+      let ctx = Lint.make_ctx ~obs ~layout func in
+      Alcotest.(check bool) (name ^ ": bounds not forced yet") false
+        (Lazy.is_val ctx.Lint.bounds);
+      let all = Lint.run Rules.all ctx in
+      Alcotest.(check bool) (name ^ ": bounds forced") true
+        (Lazy.is_val ctx.Lint.bounds);
+      let predicts =
+        List.length
+          (List.filter
+             (fun (e : Tdfa_obs.Obs.event) ->
+               e.Tdfa_obs.Obs.name = "absint.envelope")
+             (Tdfa_obs.Obs.events obs))
+      in
+      Alcotest.(check int) (name ^ ": one predict") 1 predicts;
+      let want =
+        Absint_oracle.predict
+          (Tdfa_core.Setup.config_of_assignment ~layout func
+             ctx.Lint.assignment)
+          func
+      in
+      let quoted =
+        Printf.sprintf "[%.2f, %.2f] K" want.Absint_oracle.peak_lo_k
+          want.Absint_oracle.peak_hi_k
+      in
+      List.iter
+        (fun id ->
+          let alone =
+            Lint.run [ Option.get (Rules.find id) ] (Lint.make_ctx ~layout func)
+          in
+          let shared =
+            List.filter (fun (f : Lint.finding) -> f.Lint.rule_id = id) all
+          in
+          Alcotest.(check (list string))
+            (name ^ ": " ^ id ^ " unchanged")
+            (List.map Lint.to_string alone)
+            (List.map Lint.to_string shared);
+          List.iter
+            (fun (f : Lint.finding) ->
+              incr fired;
+              let m = f.Lint.message in
+              let n = String.length quoted in
+              let rec has i =
+                i + n <= String.length m
+                && (String.sub m i n = quoted || has (i + 1))
+              in
+              Alcotest.(check bool) (name ^ ": quotes the oracle bounds") true
+                (has 0))
+            shared)
+        bound_ids)
+    Kernels.all;
+  Alcotest.(check bool) "some bound rule fires" true (!fired > 0)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -393,6 +457,7 @@ let suite =
         tc "severity overrides" `Quick test_overrides_applied;
         tc "pipeline gate" `Quick test_gate;
         tc "SARIF shape" `Quick test_sarif_shape;
+        tc "bound rules share one predict" `Quick test_bounds_shared;
         QCheck_alcotest.to_alcotest prop_lint_total_and_deterministic;
         QCheck_alcotest.to_alcotest prop_loops_dominators_agree;
       ] );

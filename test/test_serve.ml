@@ -495,6 +495,54 @@ let test_chaos_soak () =
   soak ~seed:7 ~requests:60;
   soak ~seed:104729 ~requests:60
 
+(* --- Socket framing ----------------------------------------------------- *)
+
+(* Requests reach the daemon however the bytes are cut: one request in
+   single-byte writes, two in one write, and one line longer than a
+   64 KiB read. Replies come back in request order. *)
+let test_socket_framing () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tdfa-framing-%d.sock" (Unix.getpid ()))
+  in
+  let t = Server.create () in
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.run ~ready:(fun () -> Atomic.set ready true) t ~socket_path:path)
+  in
+  while not (Atomic.get ready) do Domain.cpu_relax () done;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let send s =
+    let rec go off =
+      if off < String.length s then
+        go (off + Unix.write_substring fd s off (String.length s - off))
+    in
+    go 0
+  in
+  let status id = Printf.sprintf {|{"op":"status","id":"%s"}|} id ^ "\n" in
+  String.iter (fun c -> send (String.make 1 c)) (status "a");
+  send (status "b" ^ status "c");
+  send
+    (Printf.sprintf {|{"op":"status","id":"d","pad":"%s"}|}
+       (String.make 200_000 'x')
+    ^ "\n");
+  let ic = Unix.in_channel_of_descr fd in
+  let ids =
+    List.init 4 (fun _ ->
+        match Json.of_string (input_line ic) with
+        | Ok j -> Option.value ~default:"?" (Json.str_member "id" j)
+        | Error e -> e)
+  in
+  send {|{"op":"shutdown"}|};
+  send "\n";
+  ignore (input_line ic);
+  Domain.join daemon;
+  close_in ic;
+  Alcotest.(check (list string)) "replies in request order"
+    [ "a"; "b"; "c"; "d" ] ids
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -521,6 +569,7 @@ let suite =
         tc "shutdown handshake" `Quick test_shutdown;
         tc "chaos soak: 120 randomized faulty requests, zero escapes" `Quick
           test_chaos_soak;
+        tc "socket framing across reads" `Quick test_socket_framing;
       ] );
     ( "serve.properties",
       List.map QCheck_alcotest.to_alcotest
